@@ -1,5 +1,5 @@
 //! Bench `bench_lint`: one full `robopt-lint` workspace pass — load,
-//! parse, call-graph construction, all 19 rules including the
+//! parse, call-graph construction, all 15 rules including the
 //! interprocedural taint passes — timed end to end.
 //!
 //! The lint blocks CI on every push, so its latency is a developer-facing
@@ -15,6 +15,7 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let root = repo_root();
     let iters = if quick { 3 } else { 11 };
+    let hw_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // Warm pass: fail loudly (and skip the artifact) if the tree is dirty,
     // and capture the graph shape the timing below covers.
@@ -43,6 +44,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"experiment\": \"bench_lint\",\n  \"quick\": {quick},\n  \"iters\": {iters},\n\
+         \x20 \"hw_threads\": {hw_threads},\n\
          \n  \"graph\": {{\"files\": {}, \"functions\": {}, \"edges\": {}, \"crates\": {}, \
          \"resolved_calls\": {}, \"external_calls\": {}, \"unresolved_calls\": {}}},\n\
          \n  \"full_pass\": {{\"lint_ms\": {:.6}, \"lint_p95_ms\": {:.6}, \"lint_per_s\": {:.3}, \

@@ -8,7 +8,7 @@
 //!    is what enumeration consumes) and the q-error distribution is
 //!    reported.
 //! 2. **Throughput and simulator-call reduction** — rows/second for TDGEN
-//!    vs the direct-labelling `SimulatorSource` on the same row budget;
+//!    vs direct labelling (`simulator_training_set`) on the same row budget;
 //!    TDGEN must spend ≥ 5× fewer simulator invocations per row.
 //! 3. **Downstream model quality** — a random forest trained on a TDGEN
 //!    `TrainingSet` vs one trained on the same number of directly-labelled
@@ -28,7 +28,7 @@ use std::time::Instant;
 use robopt::{OptimizeRequest, Optimizer, SimulateRequest, WorkloadSpec};
 use robopt_bench::repo_root;
 use robopt_ml::{
-    spearman, ForestConfig, Metrics, Model, RandomForest, SamplerConfig, SimulatorSource,
+    simulator_training_set, spearman, ForestConfig, Metrics, Model, RandomForest, SamplerConfig,
     TrainingSet, TrainingSource,
 };
 use robopt_plan::rng::SplitMix64;
@@ -181,23 +181,19 @@ fn main() {
     let reduction = stats.reduction();
     let tdgen_rows_per_s = tdgen_n as f64 / tdgen_secs;
 
-    let mut direct = SimulatorSource::new(
-        &registry,
-        layout,
-        SamplerConfig::new().with_seed(DIRECT_SEED).with_noise(0.05),
-    );
+    let direct_cfg = SamplerConfig::new().with_seed(DIRECT_SEED).with_noise(0.05);
     let t1 = Instant::now();
-    let direct_train = direct.generate(direct_n);
+    let direct_train = simulator_training_set(&registry, &layout, &direct_cfg, direct_n);
     let direct_secs = t1.elapsed().as_secs_f64();
     let direct_rows_per_s = direct_n as f64 / direct_secs;
 
     // ---- 3. Forest on TDGEN vs forest on direct labels ------------------
-    let heldout = SimulatorSource::new(
+    let heldout = simulator_training_set(
         &registry,
-        layout,
-        SamplerConfig::new().with_seed(HELDOUT_SEED).with_noise(0.0),
-    )
-    .generate(heldout_n);
+        &layout,
+        &SamplerConfig::new().with_seed(HELDOUT_SEED).with_noise(0.0),
+        heldout_n,
+    );
     let forest_cfg = ForestConfig {
         n_trees,
         ..ForestConfig::default()
@@ -333,6 +329,8 @@ fn main() {
     // Hand-rendered JSON (offline environment: no serde_json).
     let mut json = String::from("{\n  \"experiment\": \"fig08_tdgen\",\n");
     let _ = writeln!(json, "  \"quick\": {quick},");
+    let hw_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let _ = writeln!(json, "  \"hw_threads\": {hw_threads},");
     let _ = writeln!(json, "  \"beta\": {},", cfg.beta());
     let _ = writeln!(json, "  \"knots\": {},", cfg.knots());
     let _ = writeln!(json, "  \"tdgen_rows\": {tdgen_n},");

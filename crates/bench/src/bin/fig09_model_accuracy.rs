@@ -3,7 +3,7 @@
 //! end-to-end check that the forest actually steers enumeration well.
 //!
 //! Training and held-out sets come from the direct-labelling
-//! `robopt_ml::SimulatorSource` (one simulator call per row; see
+//! `robopt_ml::simulator_training_set` (one simulator call per row; see
 //! `fig08_tdgen` for the interpolating TDGEN source): plans from the
 //! workload pool, feasible platform assignments, labels in
 //! `ln(1 + seconds)`. The forest must beat the linear model's held-out

@@ -567,7 +567,6 @@ pub(crate) fn fixture_ws(files: &[(&str, &str)]) -> Workspace {
                 crate_name: crate_name.to_string(),
                 class: classify(crate_name),
                 is_binary: false,
-                is_crate_root: false,
                 lines,
                 test_mask,
                 items,

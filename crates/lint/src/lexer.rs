@@ -5,7 +5,7 @@
 //! mentioning `.unwrap()` is not a violation). This lexer splits every
 //! physical line into *code* — with comments removed and the contents of
 //! string/char literals blanked — and *comment text*, which is where the
-//! `lint:allow(...)` suppressions and `SAFETY:` justifications live.
+//! `lint:allow(...)` suppressions live.
 //!
 //! Handled: `//`-style comments (incl. `///` and `//!` docs), nestable
 //! `/* */` block comments, string literals with escapes, raw strings
@@ -21,13 +21,6 @@ pub struct LineScan {
     /// Concatenated comment text appearing on this line, without the
     /// `//` / `/*` markers.
     pub comment: String,
-    /// Concatenated *contents* of string literals on this line, with
-    /// escapes resolved (`\"` → `"`) and a newline between literals. This
-    /// is what rules that inspect rendered output (JSON keys in
-    /// `response-serialize-total`) match against — the inverse concern of
-    /// `code`, which blanks literals so textual rules never fire inside
-    /// them.
-    pub literal: String,
 }
 
 /// Lexer state that survives a line break.
@@ -54,7 +47,6 @@ pub fn scan(source: &str) -> Vec<LineScan> {
     let mut lines = Vec::new();
     let mut code = String::new();
     let mut comment = String::new();
-    let mut literal = String::new();
     let mut state = State::Code;
     let mut i = 0usize;
     while let Some(&c) = chars.get(i) {
@@ -62,7 +54,6 @@ pub fn scan(source: &str) -> Vec<LineScan> {
             lines.push(LineScan {
                 code: std::mem::take(&mut code),
                 comment: std::mem::take(&mut comment),
-                literal: std::mem::take(&mut literal),
             });
             i += 1;
             continue;
@@ -165,28 +156,13 @@ pub fn scan(source: &str) -> Vec<LineScan> {
                     if chars.get(i + 1) == Some(&'\n') {
                         i += 1;
                     } else {
-                        // Resolve the common escapes so `\"cost\"` in source
-                        // contributes `"cost"` to the literal pool; anything
-                        // exotic keeps the escaped char verbatim.
-                        if let Some(&esc) = chars.get(i + 1) {
-                            literal.push(match esc {
-                                'n' => '\n',
-                                't' => '\t',
-                                'r' => '\r',
-                                '0' => '\0',
-                                other => other,
-                            });
-                        }
                         i += 2;
                     }
                 } else if c == '"' {
                     code.push('"');
-                    // Separator: needles must never straddle two literals.
-                    literal.push('\n');
                     state = State::Code;
                     i += 1;
                 } else {
-                    literal.push(c);
                     i += 1;
                 }
             }
@@ -201,26 +177,19 @@ pub fn scan(source: &str) -> Vec<LineScan> {
                     }
                     if ok {
                         code.push('"');
-                        literal.push('\n');
                         state = State::Code;
                         i += 1 + hashes as usize;
                     } else {
-                        literal.push(c);
                         i += 1;
                     }
                 } else {
-                    literal.push(c);
                     i += 1;
                 }
             }
         }
     }
-    if !code.is_empty() || !comment.is_empty() || !literal.is_empty() {
-        lines.push(LineScan {
-            code,
-            comment,
-            literal,
-        });
+    if !code.is_empty() || !comment.is_empty() {
+        lines.push(LineScan { code, comment });
     }
     lines
 }
@@ -286,17 +255,6 @@ mod tests {
         assert!(ls[0].comment.contains(".unwrap()"));
         assert_eq!(ls[1].code, "let s = \"");
         assert_eq!(ls[2].code, "\";");
-    }
-
-    #[test]
-    fn literal_contents_are_retained_unescaped() {
-        let ls = scan("s.push_str(\"{\\\"cost\\\":\"); let r = r#\"\"raw\"\"#;\n");
-        assert_eq!(ls[0].literal, "{\"cost\":\n\"raw\"\n");
-        // Blanked in code, retained in literal — never both.
-        assert!(!ls[0].code.contains("cost"));
-        // Comments contribute nothing to the literal pool.
-        let ls = scan("// mentions \"cost\" in prose\nlet x = 1;\n");
-        assert!(ls[0].literal.is_empty() && ls[1].literal.is_empty());
     }
 
     #[test]

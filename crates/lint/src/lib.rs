@@ -18,7 +18,7 @@
 //! * [`callgraph`] — the workspace-wide symbol-resolved call graph
 //!   (conservative over-approximation through `&dyn` seams);
 //! * [`taint`] — the interprocedural determinism-taint and
-//!   panic-reachability passes (rules 17–18);
+//!   panic-reachability passes;
 //! * [`rules`] — the rule engine and the [`rules::RULES`] table;
 //! * [`report`] — rustc-style diagnostics and the hand-rendered JSON
 //!   report behind `--fix-report`.
@@ -30,9 +30,6 @@
 //! interprocedural passes additionally read
 //! `// lint:surface(deterministic)` / `// lint:surface(no-panic)` markers
 //! declaring the surface they protect.
-
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
 
 pub mod callgraph;
 pub mod lexer;

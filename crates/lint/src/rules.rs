@@ -5,13 +5,21 @@
 //! "§ Static invariants"):
 //!
 //! * **Determinism** (Lemma 1, bit-identical seeded training):
-//!   `hash-container`, `wall-clock`, `thread-spawn-join`.
+//!   `hash-container`, `wall-clock`, `thread-spawn-join`,
+//!   `float-total-order`.
 //! * **Panic-freedom** (library code must degrade, not abort):
 //!   `panic-unwrap`, `panic-expect`, `panic-macro`, `index-literal`.
-//! * **Oracle / platform contracts** (estimator API): `oracle-width`,
-//!   `cost-batch-guard`, `platform-id`, `safety-comment`, `crate-attrs`.
-//! * **Workspace hygiene** (offline build image, honest docs):
-//!   `workspace-deps`, `artifact-exists`.
+//! * **Oracle / platform contracts** (estimator API): `cost-batch-guard`,
+//!   `platform-id`.
+//! * **Workspace hygiene** (offline build image, honest docs, compiler
+//!   lints): `workspace-deps`, `artifact-exists`, `crate-attrs`.
+//! * **Interprocedural** (call graph, DESIGN.md §13): `determinism-taint`,
+//!   `panic-reachability`.
+//!
+//! What rustc can enforce is left to rustc: `CostOracle::width` has no
+//! default, the service renderer and cache key bind every field by an
+//! exhaustive pattern, and the workspace lint table forbids `unsafe_code`
+//! and denies `missing_debug_implementations` in every target.
 //!
 //! A violation on line `n` is suppressed by a trailing or immediately
 //! preceding comment `// lint:allow(<rule-id>) <justification>`; the
@@ -62,10 +70,6 @@ pub const RULES: &[RuleInfo] = &[
         guards: "panic-freedom: literal indexing can go out of bounds",
     },
     RuleInfo {
-        id: "oracle-width",
-        guards: "estimator contract: every CostOracle impl must expose its row width",
-    },
-    RuleInfo {
         id: "cost-batch-guard",
         guards: "estimator contract: batch costing must debug_assert the row width",
     },
@@ -74,12 +78,8 @@ pub const RULES: &[RuleInfo] = &[
         guards: "platform contract: raw usize platform indices bypass PlatformId",
     },
     RuleInfo {
-        id: "safety-comment",
-        guards: "unsafe hygiene: every unsafe block needs a // SAFETY: line",
-    },
-    RuleInfo {
         id: "crate-attrs",
-        guards: "unsafe/debug hygiene: library crate roots must forbid unsafe_code and deny missing_debug_implementations",
+        guards: "unsafe/debug hygiene: every package inherits the workspace lints that forbid unsafe_code and deny missing_debug_implementations",
     },
     RuleInfo {
         id: "workspace-deps",
@@ -88,14 +88,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "artifact-exists",
         guards: "honest docs: referenced experiment artifacts exist on disk",
-    },
-    RuleInfo {
-        id: "response-serialize-total",
-        guards: "service contract: every pub *Response field must appear as a quoted JSON key in the service crate's renderer",
-    },
-    RuleInfo {
-        id: "risk-policy-cache-key",
-        guards: "cache soundness: a struct with a cache-key fn and a risk field must hash the risk policy into the key",
     },
     RuleInfo {
         id: "determinism-taint",
@@ -118,7 +110,7 @@ pub fn check(ws: &Workspace) -> LintOutcome {
     check_with_graph(ws, &graph)
 }
 
-/// Run every rule — the 16 line/contract rules plus the interprocedural
+/// Run every rule — the line/contract rules plus the interprocedural
 /// taint passes over a prebuilt call graph.
 pub fn check_with_graph(ws: &Workspace, graph: &crate::callgraph::CallGraph) -> LintOutcome {
     let mut out = LintOutcome {
@@ -128,8 +120,6 @@ pub fn check_with_graph(ws: &Workspace, graph: &crate::callgraph::CallGraph) -> 
     for f in &ws.sources {
         check_source(f, &mut out);
     }
-    check_response_fields(&ws.sources, &mut out);
-    check_risk_cache_key(&ws.sources, &mut out);
     for m in &ws.manifests {
         check_manifest(m, &mut out);
     }
@@ -303,45 +293,8 @@ fn check_source(file: &SourceFile, out: &mut LintOutcome) {
                 );
             }
         }
-
-        if !find_word(code, "unsafe").is_empty() {
-            let documented = (li.saturating_sub(3)..=li).any(|c| {
-                file.lines
-                    .get(c)
-                    .is_some_and(|l| l.comment.contains("SAFETY:"))
-            });
-            if !documented {
-                emit(
-                    file,
-                    li,
-                    "safety-comment",
-                    "unsafe without a preceding // SAFETY: comment (library crates \
-                     additionally #![forbid(unsafe_code)] entirely)"
-                        .to_string(),
-                    out,
-                );
-            }
-        }
     }
 
-    if file.is_crate_root && file.class != CrateClass::Exempt {
-        for attr in [
-            "#![forbid(unsafe_code)]",
-            "#![deny(missing_debug_implementations)]",
-        ] {
-            if !file.lines.iter().any(|l| l.code.contains(attr)) {
-                emit(
-                    file,
-                    0,
-                    "crate-attrs",
-                    format!("library crate root is missing `{attr}`"),
-                    out,
-                );
-            }
-        }
-    }
-
-    check_cost_oracle_impls(file, out);
     check_cost_batch_bodies(file, out);
     check_thread_spawns(file, out);
     if file.class != CrateClass::Exempt && file.crate_name != "platforms" {
@@ -443,7 +396,7 @@ pub(crate) fn has_literal_index(code: &str) -> bool {
     false
 }
 
-/// Rule 19 `float-total-order`: a `partial_cmp` whose `Option` is
+/// `float-total-order`: a `partial_cmp` whose `Option` is
 /// force-unwrapped panics the library on the first NaN, and a comparator
 /// built from a raw `<` silently drops NaN ordering — both break the
 /// deterministic total order `f64::total_cmp` provides. `sort_by` with a
@@ -467,45 +420,6 @@ fn joined_code(lines: &[LineScan], lo: usize, hi: usize) -> String {
         s.push(' ');
     }
     s
-}
-
-/// Every `impl … CostOracle for …` block must define `fn width`.
-fn check_cost_oracle_impls(file: &SourceFile, out: &mut LintOutcome) {
-    for li in 0..file.lines.len() {
-        let code = file.lines.get(li).map(|l| l.code.as_str()).unwrap_or("");
-        for at in find_word(code, "impl") {
-            let Some((bl, bc)) = find_code_char(&file.lines, li, at, |c| c == '{' || c == ';')
-            else {
-                continue;
-            };
-            let header = joined_code(&file.lines, li, bl);
-            if find_word(&header, "CostOracle").is_empty() || find_word(&header, "for").is_empty() {
-                continue;
-            }
-            let opens = file
-                .lines
-                .get(bl)
-                .and_then(|l| l.code.get(bc..))
-                .and_then(|s| s.chars().next())
-                == Some('{');
-            if !opens {
-                continue;
-            }
-            let end = match_brace(&file.lines, bl, bc).unwrap_or(bl);
-            let body = joined_code(&file.lines, bl, end);
-            if !body.contains("fn width") {
-                emit(
-                    file,
-                    li,
-                    "oracle-width",
-                    "impl CostOracle must define fn width() so every batch path can \
-                     validate incoming row layouts"
-                        .to_string(),
-                    out,
-                );
-            }
-        }
-    }
 }
 
 /// Every `fn cost_batch` body must `debug_assert` something about `width`.
@@ -603,218 +517,26 @@ fn check_platform_params(file: &SourceFile, out: &mut LintOutcome) {
     }
 }
 
-/// The crate whose `*Response` structs form the service wire contract.
-const SERVICE_CRATE: &str = "robopt";
-
-/// ISSUE 7 service contract: the wire protocol is hand-rendered (the
-/// workspace is dependency-free, so there is no derive to keep struct and
-/// JSON in sync). A field added to a `pub struct …Response` silently
-/// vanishes from every served response unless the renderer is also
-/// touched. This rule closes the gap mechanically: every `pub` field of a
-/// `*Response` struct in the service crate must appear as a quoted
-/// `"key"` inside that crate's non-test string literals.
-fn check_response_fields(sources: &[SourceFile], out: &mut LintOutcome) {
-    // Pool every literal the service crate can render (non-test lines:
-    // a key mentioned only by a test must not mask a missing renderer).
-    let mut pool = String::new();
-    for f in sources.iter().filter(|f| f.crate_name == SERVICE_CRATE) {
-        for (li, line) in f.lines.iter().enumerate() {
-            if !f.test_mask.get(li).copied().unwrap_or(false) {
-                pool.push_str(&line.literal);
-                pool.push('\n');
-            }
-        }
-    }
-    for f in sources.iter().filter(|f| f.crate_name == SERVICE_CRATE) {
-        for li in 0..f.lines.len() {
-            let code = f.lines.get(li).map(|l| l.code.as_str()).unwrap_or("");
-            let Some(at) = code.find("pub struct ") else {
-                continue;
-            };
-            let name: String = code
-                .get(at + "pub struct ".len()..)
-                .unwrap_or("")
-                .chars()
-                .take_while(|&c| c.is_alphanumeric() || c == '_')
-                .collect();
-            if !name.ends_with("Response") {
-                continue;
-            }
-            let Some((bl, bc)) = find_code_char(&f.lines, li, at, |c| c == '{' || c == ';') else {
-                continue;
-            };
-            let opens = f
-                .lines
-                .get(bl)
-                .and_then(|l| l.code.get(bc..))
-                .and_then(|s| s.chars().next())
-                == Some('{');
-            if !opens {
-                continue; // tuple/unit struct: nothing field-named to check
-            }
-            let end = match_brace(&f.lines, bl, bc).unwrap_or(bl);
-            for fl in bl..=end {
-                let fcode = f.lines.get(fl).map(|l| l.code.as_str()).unwrap_or("");
-                let Some(rest) = fcode.trim_start().strip_prefix("pub ") else {
-                    continue;
-                };
-                let field: String = rest
-                    .chars()
-                    .take_while(|&c| c.is_alphanumeric() || c == '_')
-                    .collect();
-                let is_field = !field.is_empty()
-                    && rest
-                        .get(field.len()..)
-                        .unwrap_or("")
-                        .trim_start()
-                        .starts_with(':');
-                if !is_field {
-                    continue; // the struct header itself, or a nested item
-                }
-                if !pool.contains(&format!("\"{field}\"")) {
-                    emit(
-                        f,
-                        fl,
-                        "response-serialize-total",
-                        format!(
-                            "field `{field}` of `{name}` never appears as a quoted \
-                             \"{field}\" key in the {SERVICE_CRATE} crate's string \
-                             literals: the hand-rendered wire protocol would drop it \
-                             from every served response; render it (or justify an \
-                             internal-only field with \
-                             lint:allow(response-serialize-total))"
-                        ),
-                        out,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// ISSUE 9 cache soundness: a crate that derives cache keys (`fn
-/// signature`) and carries a `risk` field on some struct must fold the
-/// policy into the key — otherwise a risk-aware request can replay a
-/// cache entry computed under a different policy, byte for byte. The rule
-/// is per crate: every struct field named exactly `risk` is a violation
-/// unless some non-test `fn signature` body in the same crate reads the
-/// word `risk` (or the crate has no cache-key fn at all, in which case
-/// there is no key to desynchronize).
-fn check_risk_cache_key(sources: &[SourceFile], out: &mut LintOutcome) {
-    // Pass 1: which crates have cache-key fns, and do any hash `risk`?
-    let mut with_sig: Vec<&str> = Vec::new();
-    let mut hashing: Vec<&str> = Vec::new();
-    for f in sources {
-        for li in 0..f.lines.len() {
-            if f.test_mask.get(li).copied().unwrap_or(false) {
-                continue;
-            }
-            let code = f.lines.get(li).map(|l| l.code.as_str()).unwrap_or("");
-            let Some(at) = code.find("fn signature") else {
-                continue;
-            };
-            // Word boundary: `fn signature_helper` is not a cache-key fn.
-            let after = code
-                .get(at + "fn signature".len()..)
-                .and_then(|s| s.chars().next());
-            if after.is_some_and(|c| c.is_alphanumeric() || c == '_') {
-                continue;
-            }
-            let Some((bl, bc)) = find_code_char(&f.lines, li, at, |c| c == '{' || c == ';') else {
-                continue;
-            };
-            if !with_sig.contains(&f.crate_name.as_str()) {
-                with_sig.push(&f.crate_name);
-            }
-            let opens = f
-                .lines
-                .get(bl)
-                .and_then(|l| l.code.get(bc..))
-                .and_then(|s| s.chars().next())
-                == Some('{');
-            if !opens {
-                continue; // trait declaration: the impls carry the bodies
-            }
-            let end = match_brace(&f.lines, bl, bc).unwrap_or(bl);
-            let body = joined_code(&f.lines, bl, end);
-            if !find_word(&body, "risk").is_empty() && !hashing.contains(&f.crate_name.as_str()) {
-                hashing.push(&f.crate_name);
-            }
-        }
-    }
-    // Pass 2: every `risk` struct field in a crate whose cache-key fns
-    // never read the policy.
-    for f in sources {
-        if !with_sig.contains(&f.crate_name.as_str()) || hashing.contains(&f.crate_name.as_str()) {
-            continue;
-        }
-        for li in 0..f.lines.len() {
-            let code = f.lines.get(li).map(|l| l.code.as_str()).unwrap_or("");
-            for at in find_word(code, "struct") {
-                let Some((bl, bc)) = find_code_char(&f.lines, li, at, |c| c == '{' || c == ';')
-                else {
-                    continue;
-                };
-                let opens = f
-                    .lines
-                    .get(bl)
-                    .and_then(|l| l.code.get(bc..))
-                    .and_then(|s| s.chars().next())
-                    == Some('{');
-                if !opens {
-                    continue;
-                }
-                let end = match_brace(&f.lines, bl, bc).unwrap_or(bl);
-                for fl in bl..=end {
-                    if f.test_mask.get(fl).copied().unwrap_or(false) {
-                        continue;
-                    }
-                    let fcode = f.lines.get(fl).map(|l| l.code.as_str()).unwrap_or("");
-                    let rest = fcode.trim_start();
-                    let rest = rest.strip_prefix("pub ").unwrap_or(rest);
-                    let field: String = rest
-                        .chars()
-                        .take_while(|&c| c.is_alphanumeric() || c == '_')
-                        .collect();
-                    let is_field = field == "risk"
-                        && rest
-                            .get(field.len()..)
-                            .unwrap_or("")
-                            .trim_start()
-                            .starts_with(':');
-                    if is_field {
-                        emit(
-                            f,
-                            fl,
-                            "risk-policy-cache-key",
-                            format!(
-                                "struct field `risk` in crate `{}` whose cache-key fn \
-                                 (`fn signature`) never reads the policy: a risk-aware \
-                                 request could replay a cache entry computed under a \
-                                 different policy; hash the policy into the signature \
-                                 (or justify a key-irrelevant field with \
-                                 lint:allow(risk-policy-cache-key))",
-                                f.crate_name
-                            ),
-                            out,
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Only `path =` / `workspace = true` dependencies may appear in any
-/// dependency section: the build image has no registry access.
+/// dependency section: the build image has no registry access. Every
+/// package must also inherit the workspace lint table (`[lints]` with
+/// `workspace = true`), which makes rustc forbid `unsafe_code` and deny
+/// `missing_debug_implementations` in all of its targets.
 fn check_manifest(tf: &TextFile, out: &mut LintOutcome) {
-    let mut in_deps = false;
+    let mut section = "";
+    let mut is_package = false;
+    let mut inherits_lints = false;
     for (li, raw) in tf.text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.starts_with('[') {
-            in_deps = line.trim_end_matches(']').ends_with("dependencies");
+            section = line;
+            is_package |= line == "[package]";
             continue;
         }
+        if section == "[lints]" && line.replace(' ', "") == "workspace=true" {
+            inherits_lints = true;
+        }
+        let in_deps = section.trim_end_matches(']').ends_with("dependencies");
         if !in_deps || line.is_empty() || !line.contains('=') {
             continue;
         }
@@ -830,6 +552,17 @@ fn check_manifest(tf: &TextFile, out: &mut LintOutcome) {
                 ),
             ));
         }
+    }
+    if is_package && !inherits_lints {
+        out.violations.push(Diagnostic::new(
+            tf.rel.clone(),
+            1,
+            "crate-attrs",
+            "package does not inherit the workspace lints: add `[lints]` with \
+             `workspace = true` so rustc forbids unsafe_code and denies \
+             missing_debug_implementations in every target"
+                .to_string(),
+        ));
     }
 }
 
@@ -914,7 +647,6 @@ mod tests {
             crate_name: crate_name.to_string(),
             class: classify(crate_name),
             is_binary: false,
-            is_crate_root: false,
             lines,
             test_mask,
             items,
@@ -1164,16 +896,6 @@ mod tests {
     // -- contract rules -------------------------------------------------
 
     #[test]
-    fn cost_oracle_impl_must_define_width() {
-        let bad = "impl CostOracle for Flat {\n    fn cost_row(&self, r: &[f64]) -> f64 { r.len() as f64 }\n}\n";
-        assert_eq!(rule_hits(&lint("engine", bad)), vec!["oracle-width"]);
-        let good = "impl CostOracle for Flat {\n    fn width(&self) -> usize { 4 }\n}\n";
-        assert!(rule_hits(&lint("engine", good)).is_empty());
-        let unrelated = "impl Flat {\n    fn helper(&self) -> usize { 4 }\n}\n";
-        assert!(rule_hits(&lint("engine", unrelated)).is_empty());
-    }
-
-    #[test]
     fn cost_batch_override_needs_width_guard() {
         let bad =
             "fn cost_batch(&self, rows: RowsView<'_>, out: &mut Vec<f64>) {\n    out.clear();\n}\n";
@@ -1203,169 +925,45 @@ mod tests {
         assert!(rule_hits(&lint("platforms", bad)).is_empty());
     }
 
-    #[test]
-    fn unsafe_needs_safety_comment() {
-        let bad = "pub fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
-        assert_eq!(rule_hits(&lint("engine", bad)), vec!["safety-comment"]);
-        let good = "// SAFETY: caller guarantees p is valid for reads\npub fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
-        assert!(rule_hits(&lint("engine", good)).is_empty());
-    }
-
-    #[test]
-    fn crate_roots_must_carry_both_attrs() {
-        let mut f = fixture("plan", "//! docs\npub mod x;\n");
-        f.is_crate_root = true;
-        let mut out = LintOutcome::default();
-        check_source(&f, &mut out);
-        assert_eq!(rule_hits(&out), vec!["crate-attrs", "crate-attrs"]);
-
-        let mut f = fixture(
-            "plan",
-            "#![forbid(unsafe_code)]\n#![deny(missing_debug_implementations)]\npub mod x;\n",
-        );
-        f.is_crate_root = true;
-        let mut out = LintOutcome::default();
-        check_source(&f, &mut out);
-        assert!(out.violations.is_empty());
-    }
-
-    // -- response-serialize-total ---------------------------------------
-
-    fn lint_response(files: &[(&str, &str)]) -> LintOutcome {
-        let sources: Vec<SourceFile> = files.iter().map(|(name, src)| fixture(name, src)).collect();
-        let mut out = LintOutcome::default();
-        check_response_fields(&sources, &mut out);
-        out.sort();
-        out
-    }
-
-    #[test]
-    fn response_fields_rendered_as_json_keys_pass() {
-        let api = "pub struct PingResponse {\n    pub seconds: f64,\n    pub feasible: bool,\n}\n";
-        let wire = "pub fn render() -> String {\n    format!(\"{{\\\"seconds\\\":{},\\\"feasible\\\":{}}}\", 1, true)\n}\n";
-        let out = lint_response(&[("robopt", api), ("robopt", wire)]);
-        assert!(out.violations.is_empty(), "{:?}", out.violations);
-    }
-
-    #[test]
-    fn unrendered_response_field_is_flagged() {
-        let api = "pub struct PingResponse {\n    pub seconds: f64,\n    pub forgotten: u64,\n}\n";
-        let wire = "pub fn render() -> String { String::from(\"{\\\"seconds\\\":0}\") }\n";
-        let out = lint_response(&[("robopt", api), ("robopt", wire)]);
-        assert_eq!(rule_hits(&out), vec!["response-serialize-total"]);
-        assert!(out
-            .violations
-            .first()
-            .is_some_and(|d| d.message.contains("forgotten") && d.line == 3));
-    }
-
-    #[test]
-    fn response_rule_ignores_other_crates_tests_and_non_response_structs() {
-        // Same shape outside the service crate: out of scope.
-        let api = "pub struct PingResponse {\n    pub forgotten: u64,\n}\n";
-        assert!(lint_response(&[("core", api)]).violations.is_empty());
-        // A key mentioned only inside #[cfg(test)] must not count as rendered.
-        let test_only = "pub struct PingResponse {\n    pub seconds: f64,\n}\n#[cfg(test)]\nmod tests {\n    const T: &str = \"\\\"seconds\\\":1\";\n}\n";
-        assert_eq!(
-            rule_hits(&lint_response(&[("robopt", test_only)])),
-            vec!["response-serialize-total"]
-        );
-        // Request structs carry no rendering obligation.
-        let req = "pub struct PingRequest {\n    pub unrendered: u64,\n}\n";
-        assert!(lint_response(&[("robopt", req)]).violations.is_empty());
-    }
-
-    #[test]
-    fn response_rule_respects_lint_allow() {
-        let api = "pub struct PingResponse {\n    // lint:allow(response-serialize-total) internal bookkeeping, not wire-visible\n    pub internal: u64,\n}\n";
-        let out = lint_response(&[("robopt", api)]);
-        assert!(out.violations.is_empty());
-        assert_eq!(out.allowed.len(), 1);
-        assert_eq!(
-            out.allowed.first().map(|a| a.rule),
-            Some("response-serialize-total")
-        );
-    }
-
-    // -- risk-policy-cache-key ------------------------------------------
-
-    fn lint_risk(files: &[(&str, &str)]) -> LintOutcome {
-        let sources: Vec<SourceFile> = files.iter().map(|(name, src)| fixture(name, src)).collect();
-        let mut out = LintOutcome::default();
-        check_risk_cache_key(&sources, &mut out);
-        out.sort();
-        out
-    }
-
-    #[test]
-    fn risk_field_hashed_into_the_signature_passes() {
-        let src = "pub struct Req {\n    pub risk: Option<RiskPolicy>,\n}\nimpl Req {\n    pub fn signature(&self) -> u64 {\n        let _ = self.risk;\n        0\n    }\n}\n";
-        let out = lint_risk(&[("robopt", src)]);
-        assert!(out.violations.is_empty(), "{:?}", out.violations);
-        // The hashing fn may live in a sibling file of the same crate.
-        let api = "pub struct Req {\n    pub risk: u8,\n}\n";
-        let keys = "pub fn signature(r: &Req) -> u64 { r.risk as u64 }\n";
-        assert!(lint_risk(&[("robopt", api), ("robopt", keys)])
-            .violations
-            .is_empty());
-    }
-
-    #[test]
-    fn unhashed_risk_field_next_to_a_cache_key_fn_is_flagged() {
-        let src = "pub struct Req {\n    pub risk: u8,\n}\nimpl Req {\n    pub fn signature(&self) -> u64 { 0 }\n}\n";
-        let out = lint_risk(&[("robopt", src)]);
-        assert_eq!(rule_hits(&out), vec!["risk-policy-cache-key"]);
-        assert!(out
-            .violations
-            .first()
-            .is_some_and(|d| d.line == 2 && d.message.contains("cache-key")));
-        // Private fields are cache state too.
-        let private = "struct Opts {\n    risk: u8,\n}\nfn signature() -> u64 { 0 }\n";
-        assert_eq!(
-            rule_hits(&lint_risk(&[("robopt", private)])),
-            vec!["risk-policy-cache-key"]
-        );
-    }
-
-    #[test]
-    fn risk_field_without_a_cache_key_fn_is_fine() {
-        // No `fn signature` in the crate: nothing to desynchronize (the
-        // core enumerator's EnumOptions carries risk but derives no keys).
-        let src = "pub struct Opts {\n    risk: RiskPolicy,\n}\n";
-        assert!(lint_risk(&[("core", src)]).violations.is_empty());
-        // A test-only signature fn mentioning risk must not mask a real
-        // non-hashing key fn.
-        let masked = "pub struct Req {\n    pub risk: u8,\n}\nfn signature() -> u64 { 0 }\n#[cfg(test)]\nmod tests {\n    fn signature(risk: u8) -> u64 { risk as u64 }\n}\n";
-        assert_eq!(
-            rule_hits(&lint_risk(&[("robopt", masked)])),
-            vec!["risk-policy-cache-key"]
-        );
-    }
-
-    #[test]
-    fn risk_cache_key_rule_respects_lint_allow() {
-        let src = "pub struct Req {\n    // lint:allow(risk-policy-cache-key) display-only echo, never keyed\n    pub risk: u8,\n}\nfn signature() -> u64 { 0 }\n";
-        let out = lint_risk(&[("robopt", src)]);
-        assert!(out.violations.is_empty());
-        assert_eq!(
-            out.allowed.first().map(|a| a.rule),
-            Some("risk-policy-cache-key")
-        );
-    }
-
     // -- manifests and docs ---------------------------------------------
 
     #[test]
     fn non_workspace_deps_are_flagged() {
         let tf = TextFile {
             rel: "crates/x/Cargo.toml".to_string(),
-            text: "[package]\nname = \"x\"\n[dependencies]\nserde = \"1.0\"\nrobopt-plan = { workspace = true }\n[dev-dependencies]\nrand = { version = \"0.8\" }\n".to_string(),
+            text: "[package]\nname = \"x\"\n[dependencies]\nserde = \"1.0\"\nrobopt-plan = { workspace = true }\n[dev-dependencies]\nrand = { version = \"0.8\" }\n[lints]\nworkspace = true\n".to_string(),
         };
         let mut out = LintOutcome::default();
         check_manifest(&tf, &mut out);
         let lines: Vec<usize> = out.violations.iter().map(|d| d.line).collect();
         assert_eq!(rule_hits(&out), vec!["workspace-deps", "workspace-deps"]);
         assert_eq!(lines, vec![4, 7]);
+    }
+
+    #[test]
+    fn packages_must_inherit_the_workspace_lints() {
+        let manifest = |text: &str| {
+            let tf = TextFile {
+                rel: "crates/x/Cargo.toml".to_string(),
+                text: text.to_string(),
+            };
+            let mut out = LintOutcome::default();
+            check_manifest(&tf, &mut out);
+            out
+        };
+        let bare = manifest("[package]\nname = \"x\"\n[lib]\npath = \"src/lib.rs\"\n");
+        assert_eq!(rule_hits(&bare), vec!["crate-attrs"]);
+        let opted_in = manifest("[package]\nname = \"x\"\n\n[lints]\nworkspace = true\n");
+        assert!(opted_in.violations.is_empty(), "{:?}", opted_in.violations);
+        // `workspace = true` under another table does not count.
+        let elsewhere = manifest(
+            "[package]\nname = \"x\"\n[dependencies]\ny = { workspace = true }\n[lints]\n",
+        );
+        assert_eq!(rule_hits(&elsewhere), vec!["crate-attrs"]);
+        // A virtual manifest has no targets to lint.
+        assert!(manifest("[workspace]\nmembers = [\"crates/*\"]\n")
+            .violations
+            .is_empty());
     }
 
     #[test]

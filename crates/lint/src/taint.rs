@@ -1,6 +1,5 @@
 //! The two interprocedural passes over the call graph: determinism taint
-//! (rule 17, `determinism-taint`) and panic reachability (rule 18,
-//! `panic-reachability`).
+//! (`determinism-taint`) and panic reachability (`panic-reachability`).
 //!
 //! Both are the same fixed point: *seed* with source functions — fns
 //! whose bodies textually contain a nondeterminism source (wall-clock
@@ -434,7 +433,7 @@ mod tests {
         assert_eq!(np[0].witness.len(), 4);
         assert!(np[0].witness[3].contains(".unwrap()"));
 
-        // A line-rule allow at the source clears rule 18 too.
+        // A line-rule allow at the source clears panic-reachability too.
         let allowed = src.replace(
             "fn step_b(x: Option<u32>) -> u32 {",
             "// lint:allow(panic-unwrap) fixture: caller always passes Some\nfn step_b(x: Option<u32>) -> u32 {",

@@ -54,8 +54,6 @@ pub struct SourceFile {
     /// `src/main.rs` or `src/bin/**`: binary entry points are exempt from
     /// the panic-freedom rules like `bench`/`cli` are.
     pub is_binary: bool,
-    /// Whether this file is a crate root (`src/lib.rs`).
-    pub is_crate_root: bool,
     pub lines: Vec<LineScan>,
     /// `test_mask[i]` — line `i` (0-based) is inside a `#[cfg(test)]` item.
     pub test_mask: Vec<bool>,
@@ -141,7 +139,6 @@ fn load_source(root: &Path, rel: &str, crate_name: &str) -> Result<SourceFile, L
         crate_name: crate_name.to_string(),
         class: classify(crate_name),
         is_binary: rel.ends_with("src/main.rs") || rel.contains("/src/bin/"),
-        is_crate_root: rel.ends_with("src/lib.rs"),
         lines,
         test_mask,
         items,

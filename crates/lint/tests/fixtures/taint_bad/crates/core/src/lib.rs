@@ -1,8 +1,6 @@
 //! Fixture core: a declared deterministic entry point that reaches a
-//! nondeterminism source two calls down. `self_check` expects rule 17 to
+//! nondeterminism source two calls down. `self_check` expects `determinism-taint` to
 //! flag `entry` with the full witness path.
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
 
 // lint:surface(deterministic)
 pub fn entry(x: u64) -> u64 {

@@ -1,8 +1,6 @@
 //! Fixture facade: a declared no-panic service entry point whose handler
-//! reaches a panic site two calls down. `self_check` expects rule 18 to
+//! reaches a panic site two calls down. `self_check` expects `panic-reachability` to
 //! flag `svc` with the full witness path.
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
 
 // lint:surface(no-panic)
 pub fn svc(input: &[u64]) -> u64 {

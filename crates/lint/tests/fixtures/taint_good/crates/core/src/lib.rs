@@ -1,8 +1,6 @@
 //! Fixture core, good variant: the same deterministic surface and call
 //! chain as `taint_bad`, but the nondeterminism source carries a justified
 //! source-level allow — `self_check` expects the whole workspace to pass.
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
 
 // lint:surface(deterministic)
 pub fn entry(x: u64) -> u64 {

@@ -1,8 +1,6 @@
 //! Fixture facade, good variant: the same no-panic surface and call chain
 //! as `taint_bad`, but the panic site carries a justified source-level
 //! allow — `self_check` expects the whole workspace to pass.
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
 
 // lint:surface(no-panic)
 pub fn svc(input: &[u64]) -> u64 {

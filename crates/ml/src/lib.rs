@@ -16,19 +16,16 @@
 //!   plan-vector matrix carrying its [`robopt_vector::FeatureLayout`]) and
 //!   the object-safe [`TrainingSource`] trait every label generator
 //!   implements;
-//! * [`training`] — [`SimulatorSource`], the direct-labelling source (one
-//!   simulator call per row) that TDGEN's interpolated generation is
-//!   measured against, with `ln(1 + seconds)` fit targets; and
-//!   [`BackendSource`], the same sampler generalized over any
-//!   `robopt_platforms::ExecutionBackend` so forests can train on runtimes
-//!   *measured* by the real engine.
+//! * [`training`] — [`BackendSource`], the direct-labelling sampler over
+//!   any `robopt_platforms::ExecutionBackend`, with `ln(1 + seconds)` fit
+//!   targets: over the simulator ([`simulator_training_set`], one
+//!   simulator call per row) it is the baseline TDGEN's interpolated
+//!   generation is measured against; over the real engine forests train
+//!   on *measured* runtimes.
 //!
 //! Everything is dependency-free: randomness comes from
 //! `robopt_plan::rng::SplitMix64`, parallelism from `std::thread::scope`,
 //! and linear algebra from the in-tree Cholesky solver.
-
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
 
 pub mod forest;
 pub mod linreg;
@@ -44,5 +41,5 @@ pub use metrics::{mae, mse, q_error, r_squared, spearman, Metrics};
 pub use model::{DistModel, Model, ModelOracle};
 pub use robopt_core::{CostDistribution, RiskPolicy};
 pub use source::{TrainingSet, TrainingSource};
-pub use training::{simulator_training_set, BackendSource, SamplerConfig, SimulatorSource};
+pub use training::{simulator_training_set, BackendSource, SamplerConfig};
 pub use tree::{ModelImportError, RegressionTree, TreeConfig};

@@ -4,8 +4,8 @@
 //!
 //! The trait is the seam between *model fitting* and *label provenance*:
 //! `Model::fit_set` and the experiment binaries consume a `TrainingSet`
-//! and never care whether its labels came from direct simulator calls
-//! ([`crate::training::SimulatorSource`]) or from TDGEN's interpolated
+//! and never care whether its labels came from direct backend calls
+//! ([`crate::training::BackendSource`]) or from TDGEN's interpolated
 //! curves (`robopt_tdgen::TdgenGenerator`). Both implement
 //! [`TrainingSource`]; swapping one for the other is a one-line change at
 //! every call site. The trait is object-safe — harnesses hold

@@ -1,11 +1,12 @@
 //! Simulator-labelled training data — the *direct labelling* baseline the
 //! paper's TDGEN is measured against (§V).
 //!
-//! [`SimulatorSource`] draws (plan, platform-assignment) pairs from a
+//! [`BackendSource`] draws (plan, platform-assignment) pairs from a
 //! fixed pool of workload shapes, vectorizes each complete plan with the
-//! production Fig-5 encoder, and labels it with the
-//! [`RuntimeSimulator`]'s ground-truth seconds — **one simulator call per
-//! row**, which is exactly the label-collection cost TDGEN's interpolation
+//! production Fig-5 encoder, and labels it through an
+//! [`ExecutionBackend`]. Over the [`RuntimeSimulator`]
+//! ([`simulator_training_set`]) that is **one simulator call per row**,
+//! which is exactly the label-collection cost TDGEN's interpolation
 //! amortizes away. Labels are stored as `ln(1 + seconds)`: the runtime
 //! surface spans five orders of magnitude, and fitting in log space keeps
 //! the squared-error objective from being dominated by the handful of
@@ -17,7 +18,7 @@
 //! operators, so models also see rows resembling the *small subplans* the
 //! enumerator costs mid-search, not just full-size plans.
 //!
-//! Both this source and `robopt_tdgen::TdgenGenerator` implement
+//! Both [`BackendSource`] and `robopt_tdgen::TdgenGenerator` implement
 //! [`TrainingSource`], so everything downstream of label generation is
 //! source-agnostic.
 
@@ -29,7 +30,7 @@ use robopt_vector::FeatureLayout;
 
 use crate::source::{TrainingSet, TrainingSource};
 
-/// Knobs for [`SimulatorSource`], assembled builder-style like
+/// Knobs for [`simulator_training_set`], assembled builder-style like
 /// `robopt_core::EnumOptions` (and mirrored by `TdgenConfig` in
 /// `robopt_tdgen`, so the two sources stay drop-in interchangeable).
 ///
@@ -149,83 +150,14 @@ fn sample_assignment(
     None
 }
 
-/// A [`TrainingSource`] labelling every row with a direct simulator call.
-///
-/// Deterministic for a fixed `(registry, layout, cfg)` and call sequence;
-/// the same config with a different seed yields an independent draw
-/// (held-out sets). Successive [`TrainingSource::generate`] calls continue
-/// the random stream, so one source never repeats rows.
-#[derive(Debug, Clone)]
-pub struct SimulatorSource<'a> {
-    registry: &'a PlatformRegistry,
-    layout: FeatureLayout,
-    cfg: SamplerConfig,
-    rng: SplitMix64,
-    pool: Vec<LogicalPlan>,
-    cursor: usize,
-}
-
-impl<'a> SimulatorSource<'a> {
-    /// A source over `registry`, encoding rows with `layout`.
-    pub fn new(registry: &'a PlatformRegistry, layout: FeatureLayout, cfg: SamplerConfig) -> Self {
-        assert_eq!(
-            layout.n_platforms,
-            registry.len(),
-            "layout platform count must match the registry"
-        );
-        let mut rng = SplitMix64::new(cfg.seed());
-        let pool = plan_pool(&mut rng);
-        SimulatorSource {
-            registry,
-            layout,
-            cfg,
-            rng,
-            pool,
-            cursor: 0,
-        }
-    }
-
-    /// The configuration this source draws under.
-    #[inline]
-    pub fn config(&self) -> &SamplerConfig {
-        &self.cfg
-    }
-}
-
-impl TrainingSource for SimulatorSource<'_> {
-    fn layout(&self) -> FeatureLayout {
-        self.layout
-    }
-
-    fn generate(&mut self, n: usize) -> TrainingSet {
-        // Labels flow through the ExecutionBackend seam; for the simulator
-        // `ExecutionReport::seconds` is bit-identical to `simulate_raw`, so
-        // this path reproduces the pre-seam training sets exactly.
-        let sim = RuntimeSimulator::new(self.registry, self.cfg.seed() ^ 0x5157)
-            .with_noise(self.cfg.noise());
-        let mut set = TrainingSet::with_capacity(self.layout, n);
-        let mut feats_buf = Vec::new();
-        while set.len() < n {
-            // Round-robin over the pool keeps every workload shape equally
-            // represented at every truncation prefix.
-            let plan = &self.pool[self.cursor % self.pool.len()];
-            self.cursor += 1;
-            let Some((assign, seconds)) =
-                sample_assignment(plan, self.registry, &sim, &mut self.rng, 16)
-            else {
-                continue;
-            };
-            vectorize_assignment(plan, &self.layout, &assign, &mut feats_buf);
-            set.push_simulated(&feats_buf, seconds);
-        }
-        set
-    }
-}
-
 /// A [`TrainingSource`] labelling rows through **any**
 /// [`ExecutionBackend`] — hand it the real engine and every row's label is
-/// a *measured* runtime; hand it the simulator and it reproduces
-/// [`SimulatorSource`] bit-for-bit (same seed, same pool, same stream).
+/// a *measured* runtime; hand it the simulator and every label is a
+/// direct simulator call.
+///
+/// Deterministic for a fixed backend, seed and call sequence; successive
+/// [`TrainingSource::generate`] calls continue the random stream, so one
+/// source never repeats rows.
 ///
 /// Plan/assignment *choice* is deterministic for a fixed `(seed, pool)`;
 /// label *values* inherit the backend's contract (modeled = reproducible,
@@ -244,7 +176,7 @@ pub struct BackendSource<'a> {
 
 impl<'a> BackendSource<'a> {
     /// A source labelling through `backend`, drawing plans/assignments
-    /// from the default [`SimulatorSource`] pool under `seed`.
+    /// from the default plan pool under `seed`.
     pub fn new(
         backend: &'a dyn ExecutionBackend,
         registry: &'a PlatformRegistry,
@@ -292,6 +224,8 @@ impl TrainingSource for BackendSource<'_> {
         let mut set = TrainingSet::with_capacity(self.layout, n);
         let mut feats_buf = Vec::new();
         while set.len() < n {
+            // Round-robin over the pool keeps every workload shape equally
+            // represented at every truncation prefix.
             let plan = &self.pool[self.cursor % self.pool.len()];
             self.cursor += 1;
             let Some((assign, seconds)) =
@@ -306,15 +240,18 @@ impl TrainingSource for BackendSource<'_> {
     }
 }
 
-/// Sample `n` labelled plan vectors from a fresh [`SimulatorSource`] —
-/// convenience for call sites that need exactly one draw.
+/// Sample `n` labelled plan vectors, each labelled by one direct
+/// simulator call: a fresh [`BackendSource`] over a [`RuntimeSimulator`].
+/// `cfg.seed()` drives plan and assignment choice and
+/// `cfg.seed() ^ 0x5157` seeds the simulator's noise.
 pub fn simulator_training_set(
     registry: &PlatformRegistry,
     layout: &FeatureLayout,
     cfg: &SamplerConfig,
     n: usize,
 ) -> TrainingSet {
-    SimulatorSource::new(registry, *layout, *cfg).generate(n)
+    let sim = RuntimeSimulator::new(registry, cfg.seed() ^ 0x5157).with_noise(cfg.noise());
+    BackendSource::new(&sim, registry, *layout, cfg.seed()).generate(n)
 }
 
 #[cfg(test)]
@@ -343,8 +280,8 @@ mod tests {
     #[test]
     fn successive_generate_calls_continue_the_stream() {
         let (registry, layout) = named_setup();
-        let cfg = SamplerConfig::new().with_seed(5).with_noise(0.0);
-        let mut source = SimulatorSource::new(&registry, layout, cfg);
+        let sim = RuntimeSimulator::new(&registry, 5);
+        let mut source = BackendSource::new(&sim, &registry, layout, 5);
         let first = source.generate(32);
         let second = source.generate(32);
         assert_ne!(
@@ -352,7 +289,7 @@ mod tests {
             "one source must not repeat its draw"
         );
         // A fresh source reproduces the concatenation of both calls.
-        let both = SimulatorSource::new(&registry, layout, cfg).generate(64);
+        let both = BackendSource::new(&sim, &registry, layout, 5).generate(64);
         assert_eq!(&both.labels[..32], &first.labels[..]);
         assert_eq!(&both.labels[32..], &second.labels[..]);
     }
@@ -401,19 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_source_over_simulator_reproduces_simulator_source() {
-        let (registry, layout) = named_setup();
-        let cfg = SamplerConfig::new().with_seed(11).with_noise(0.0);
-        let direct = simulator_training_set(&registry, &layout, &cfg, 32);
-        // Same seed split as SimulatorSource::generate: pool/assignment rng
-        // from cfg.seed, simulator noise stream from cfg.seed ^ 0x5157.
-        let sim = RuntimeSimulator::new(&registry, cfg.seed() ^ 0x5157).with_noise(cfg.noise());
-        let via_seam = BackendSource::new(&sim, &registry, layout, cfg.seed()).generate(32);
-        assert_eq!(direct.rows, via_seam.rows);
-        assert_eq!(direct.labels, via_seam.labels);
-    }
-
-    #[test]
     fn backend_source_honors_a_custom_pool() {
         let (registry, layout) = named_setup();
         let sim = RuntimeSimulator::new(&registry, 3);
@@ -427,7 +351,8 @@ mod tests {
     #[test]
     fn source_is_object_safe() {
         let (registry, layout) = named_setup();
-        let mut source = SimulatorSource::new(&registry, layout, SamplerConfig::new());
+        let sim = RuntimeSimulator::new(&registry, 1);
+        let mut source = BackendSource::new(&sim, &registry, layout, 1);
         let dyn_source: &mut dyn TrainingSource = &mut source;
         assert_eq!(dyn_source.layout().width, layout.width);
         assert_eq!(dyn_source.generate(8).len(), 8);

@@ -73,11 +73,20 @@ impl ExecutionPolicy {
         self
     }
 
-    /// Fold the result-affecting fields into a signature hasher.
-    /// `workers` / `hardware_clamp` deliberately excluded (see type docs).
+    /// Fold the result-affecting fields into a signature hasher. The
+    /// pattern names every field, so a new one does not compile until it
+    /// is either hashed or excluded here with its reason.
     pub(crate) fn write_sig(&self, h: &mut SigHasher) {
-        h.write_u64(u64::from(self.prune));
-        h.write_u64(self.split_parts as u64);
+        let ExecutionPolicy {
+            // Scheduling only: the split-driver determinism contract
+            // (DESIGN §9) makes the result independent of both.
+            workers: _,
+            hardware_clamp: _,
+            split_parts,
+            prune,
+        } = *self;
+        h.write_u64(u64::from(prune));
+        h.write_u64(split_parts as u64);
     }
 }
 
@@ -169,11 +178,19 @@ impl OptimizeRequest {
     /// the same computation, so they *should* share a cache line — while
     /// any other policy gets a distinct key: a `MeanPlusKSigma` hit must
     /// never serve an `ExpectedCost` entry.
+    ///
+    /// The exhaustive pattern makes a new request field a compile error
+    /// here until it is folded into the key.
     pub fn signature(&self) -> u64 {
+        let OptimizeRequest {
+            workload,
+            policy,
+            risk,
+        } = self;
         let mut h = SigHasher::new();
-        write_workload_sig(&self.workload, &mut h);
-        self.policy.write_sig(&mut h);
-        let (tag, param) = self.risk.unwrap_or(RiskPolicy::ExpectedCost).sig_parts();
+        write_workload_sig(workload, &mut h);
+        policy.write_sig(&mut h);
+        let (tag, param) = risk.unwrap_or(RiskPolicy::ExpectedCost).sig_parts();
         h.write_u64(tag);
         h.write_f64_bits(param);
         h.finish()
@@ -215,16 +232,29 @@ pub struct OptimizeResponse {
 
 impl PartialEq for OptimizeResponse {
     fn eq(&self, other: &Self) -> bool {
-        self.workload == other.workload
-            && self.signature == other.signature
-            && self.assignments == other.assignments
-            && self.distinct_platforms == other.distinct_platforms
-            && self.cost.to_bits() == other.cost.to_bits()
-            && self.cost_std.to_bits() == other.cost_std.to_bits()
-            && self.cost_q10.to_bits() == other.cost_q10.to_bits()
-            && self.cost_q90.to_bits() == other.cost_q90.to_bits()
-            && self.risk_policy == other.risk_policy
-            && self.stats == other.stats
+        // Exhaustive: a new field does not compile until it is compared.
+        let OptimizeResponse {
+            workload,
+            signature,
+            assignments,
+            distinct_platforms,
+            cost,
+            cost_std,
+            cost_q10,
+            cost_q90,
+            risk_policy,
+            stats,
+        } = self;
+        *workload == other.workload
+            && *signature == other.signature
+            && *assignments == other.assignments
+            && *distinct_platforms == other.distinct_platforms
+            && cost.to_bits() == other.cost.to_bits()
+            && cost_std.to_bits() == other.cost_std.to_bits()
+            && cost_q10.to_bits() == other.cost_q10.to_bits()
+            && cost_q90.to_bits() == other.cost_q90.to_bits()
+            && *risk_policy == other.risk_policy
+            && *stats == other.stats
     }
 }
 
@@ -520,6 +550,51 @@ mod tests {
         let resplit = base.with_policy(ExecutionPolicy::default().with_split_parts(3));
         assert_ne!(sig, noprune.signature(), "prune is part of the key");
         assert_ne!(sig, resplit.signature(), "split_parts is part of the key");
+    }
+
+    /// Fixed cache keys: a refactor of the signature derivation must not
+    /// move a single bit, or every persisted expectation about cache hits
+    /// (and the wire's `signature` field) silently changes.
+    #[test]
+    fn signature_values_are_pinned() {
+        let base = OptimizeRequest::new(WorkloadSpec::WordCount { scale: 1e7 });
+        let policy = ExecutionPolicy::default();
+        let table = [
+            ("default policy, risk None", base, 0x568a_6351_bf8b_4e2f),
+            (
+                "split_parts 1",
+                base.with_policy(policy.with_split_parts(1)),
+                0xf900_2c6b_695f_d421,
+            ),
+            (
+                "prune off",
+                base.with_policy(policy.with_prune(false)),
+                0x683a_14df_9ea2_5055,
+            ),
+            (
+                "split_parts 3, prune off",
+                base.with_policy(policy.with_split_parts(3).with_prune(false)),
+                0xf789_55bd_afbf_60ce,
+            ),
+            (
+                "expected",
+                base.with_risk(RiskPolicy::ExpectedCost),
+                0x568a_6351_bf8b_4e2f,
+            ),
+            (
+                "sigma2",
+                base.with_risk(RiskPolicy::MeanPlusKSigma(2.0)),
+                0xa72e_8054_524a_6849,
+            ),
+            (
+                "q0.9",
+                base.with_risk(RiskPolicy::Quantile(0.9)),
+                0x6dae_50b4_10c0_556c,
+            ),
+        ];
+        for (label, req, want) in table {
+            assert_eq!(req.signature(), want, "{label}");
+        }
     }
 
     #[test]

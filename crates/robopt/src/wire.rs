@@ -8,18 +8,19 @@
 //! additionally mirrored as a `cost_bits` integer so bit-identity survives
 //! any JSON intermediary.
 //!
-//! The `response-serialize-total` lint rule checks this module: every
-//! public field of every `*Response` type must appear as a quoted key in
-//! some renderer here, so a field added to the API cannot silently vanish
-//! from the wire.
+//! [`render_response`] binds every response field by an exhaustive
+//! pattern, so a field added to the API cannot silently vanish from the
+//! wire: it fails to compile until it is rendered.
 
 use crate::api::{
     BackendChoice, CompareRequest, CompareResponse, ExecuteRequest, ExecuteResponse,
     ExecutionPolicy, OptimizeRequest, OptimizeResponse, ServiceError, SimulateRequest,
-    SimulateResponse, StatsResponse, TrainRequest, TrainResponse, TrainSource, WorkloadSpec,
+    SimulateResponse, SinglePlatformPlan, StatsResponse, TrainRequest, TrainResponse, TrainSource,
+    WorkloadSpec,
 };
+use crate::cache::CacheStats;
 use crate::json::{self, escape_into, JsonValue};
-use robopt_core::RiskPolicy;
+use robopt_core::{EnumStats, RiskPolicy};
 
 /// A parsed service request.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,6 +133,9 @@ pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
 }
 
 /// Render one response as a single JSON line (no trailing newline).
+///
+/// Every response struct is bound by an exhaustive pattern (no `..`), so
+/// a field added to the API does not compile until it is rendered here.
 pub fn render_response(resp: &Response) -> String {
     match resp {
         Response::Optimize(r) => {
@@ -140,96 +144,131 @@ pub fn render_response(resp: &Response) -> String {
             s.push('}');
             s
         }
-        Response::Train(r) => format!(
-            "{{\"ok\":true,\"kind\":\"train\",\"rows\":{},\"n_trees\":{},\"width\":{},\
-             \"train_mse\":{}}}",
-            r.rows,
-            r.n_trees,
-            r.width,
-            num(r.train_mse)
+        Response::Train(TrainResponse {
+            rows,
+            n_trees,
+            width,
+            train_mse,
+        }) => format!(
+            "{{\"ok\":true,\"kind\":\"train\",\"rows\":{rows},\"n_trees\":{n_trees},\
+             \"width\":{width},\"train_mse\":{}}}",
+            num(*train_mse)
         ),
-        Response::Simulate(r) => {
+        Response::Simulate(SimulateResponse {
+            workload,
+            assignments,
+            seconds,
+            feasible,
+        }) => {
             let mut s = String::from("{\"ok\":true,\"kind\":\"simulate\",\"workload\":");
-            push_str_value(&mut s, &r.workload);
+            push_str_value(&mut s, workload);
             s.push_str(",\"assignments\":");
-            push_str_array(&mut s, &r.assignments);
+            push_str_array(&mut s, assignments);
             s.push_str(&format!(
-                ",\"seconds\":{},\"feasible\":{}}}",
-                num(r.seconds),
-                r.feasible
+                ",\"seconds\":{},\"feasible\":{feasible}}}",
+                num(*seconds)
             ));
             s
         }
-        Response::Execute(r) => {
+        Response::Execute(ExecuteResponse {
+            workload,
+            backend,
+            assignments,
+            seconds,
+            compute_seconds,
+            overhead_seconds,
+            feasible,
+            measured,
+            output_rows,
+            output_digest,
+            op_seconds,
+            op_output_rows,
+        }) => {
             let mut s = String::from("{\"ok\":true,\"kind\":\"execute\",\"workload\":");
-            push_str_value(&mut s, &r.workload);
+            push_str_value(&mut s, workload);
             s.push_str(",\"backend\":");
-            push_str_value(&mut s, &r.backend);
+            push_str_value(&mut s, backend);
             s.push_str(",\"assignments\":");
-            push_str_array(&mut s, &r.assignments);
+            push_str_array(&mut s, assignments);
             s.push_str(&format!(
                 ",\"seconds\":{},\"compute_seconds\":{},\"overhead_seconds\":{},\
-                 \"feasible\":{},\"measured\":{},\"output_rows\":{},\"output_digest\":{}",
-                num(r.seconds),
-                num(r.compute_seconds),
-                num(r.overhead_seconds),
-                r.feasible,
-                r.measured,
-                r.output_rows,
-                r.output_digest
+                 \"feasible\":{feasible},\"measured\":{measured},\"output_rows\":{output_rows},\
+                 \"output_digest\":{output_digest}",
+                num(*seconds),
+                num(*compute_seconds),
+                num(*overhead_seconds),
             ));
             s.push_str(",\"op_seconds\":");
-            push_num_array(&mut s, &r.op_seconds);
+            push_num_array(&mut s, op_seconds);
             s.push_str(",\"op_output_rows\":");
-            push_u64_array(&mut s, &r.op_output_rows);
+            push_u64_array(&mut s, op_output_rows);
             s.push('}');
             s
         }
-        Response::Compare(r) => {
+        Response::Compare(CompareResponse {
+            workload,
+            mixed,
+            mix,
+            mixed_sim_seconds,
+            singles,
+            best_single_cost,
+            mixed_wins,
+        }) => {
             let mut s = String::from("{\"ok\":true,\"kind\":\"compare\",\"workload\":");
-            push_str_value(&mut s, &r.workload);
+            push_str_value(&mut s, workload);
             s.push_str(",\"mixed\":{");
-            push_optimize_fields(&mut s, &r.mixed);
+            push_optimize_fields(&mut s, mixed);
             s.push_str("},\"mix\":");
-            push_str_value(&mut s, &r.mix);
+            push_str_value(&mut s, mix);
             s.push_str(&format!(
                 ",\"mixed_sim_seconds\":{}",
-                num(r.mixed_sim_seconds)
+                num(*mixed_sim_seconds)
             ));
             s.push_str(",\"singles\":[");
-            for (i, single) in r.singles.iter().enumerate() {
+            for (i, single) in singles.iter().enumerate() {
+                let SinglePlatformPlan {
+                    platform,
+                    cost,
+                    sim_seconds,
+                } = single;
                 if i > 0 {
                     s.push(',');
                 }
                 s.push_str("{\"platform\":");
-                push_str_value(&mut s, &single.platform);
+                push_str_value(&mut s, platform);
                 s.push_str(&format!(
                     ",\"cost\":{},\"sim_seconds\":{}}}",
-                    opt_num(single.cost),
-                    opt_num(single.sim_seconds)
+                    opt_num(*cost),
+                    opt_num(*sim_seconds)
                 ));
             }
             s.push_str(&format!(
-                "],\"best_single_cost\":{},\"mixed_wins\":{}}}",
-                opt_num(r.best_single_cost),
-                r.mixed_wins
+                "],\"best_single_cost\":{},\"mixed_wins\":{mixed_wins}}}",
+                opt_num(*best_single_cost)
             ));
             s
         }
-        Response::Stats(r) => format!(
-            "{{\"ok\":true,\"kind\":\"stats\",\"requests\":{},\"cache\":{{\
-             \"hits\":{},\"misses\":{},\"evictions\":{},\"insertions\":{},\
-             \"len\":{},\"capacity\":{},\"hit_rate\":{}}},\"total_micros\":{}}}",
-            r.requests,
-            r.cache.hits,
-            r.cache.misses,
-            r.cache.evictions,
-            r.cache.insertions,
-            r.cache.len,
-            r.cache.capacity,
-            num(r.cache.hit_rate()),
-            r.total_micros
-        ),
+        Response::Stats(StatsResponse {
+            requests,
+            cache,
+            total_micros,
+        }) => {
+            let CacheStats {
+                hits,
+                misses,
+                evictions,
+                insertions,
+                len,
+                capacity,
+            } = cache;
+            format!(
+                "{{\"ok\":true,\"kind\":\"stats\",\"requests\":{requests},\"cache\":{{\
+                 \"hits\":{hits},\"misses\":{misses},\"evictions\":{evictions},\
+                 \"insertions\":{insertions},\"len\":{len},\"capacity\":{capacity},\
+                 \"hit_rate\":{}}},\"total_micros\":{total_micros}}}",
+                num(cache.hit_rate())
+            )
+        }
         Response::Error(e) => {
             let mut s = String::from("{\"ok\":false,\"error\":");
             push_str_value(&mut s, &e.to_string());
@@ -243,26 +282,43 @@ pub fn render_response(resp: &Response) -> String {
 /// `cost` is mirrored as `cost_bits` so consumers that must preserve
 /// bit-identity never depend on decimal formatting.
 fn push_optimize_fields(s: &mut String, r: &OptimizeResponse) {
+    let OptimizeResponse {
+        workload,
+        signature,
+        assignments,
+        distinct_platforms,
+        cost,
+        cost_std,
+        cost_q10,
+        cost_q90,
+        risk_policy,
+        stats,
+    } = r;
+    let EnumStats {
+        generated,
+        kept,
+        merges,
+        peak_rows,
+    } = stats;
     s.push_str("\"workload\":");
-    push_str_value(s, &r.workload);
-    s.push_str(&format!(",\"signature\":{}", r.signature));
+    push_str_value(s, workload);
+    s.push_str(&format!(",\"signature\":{signature}"));
     s.push_str(",\"assignments\":");
-    push_str_array(s, &r.assignments);
+    push_str_array(s, assignments);
     s.push_str(&format!(
-        ",\"distinct_platforms\":{},\"cost\":{},\"cost_bits\":{},\
+        ",\"distinct_platforms\":{distinct_platforms},\"cost\":{},\"cost_bits\":{},\
          \"cost_std\":{},\"cost_q10\":{},\"cost_q90\":{}",
-        r.distinct_platforms,
-        num(r.cost),
-        r.cost.to_bits(),
-        num(r.cost_std),
-        num(r.cost_q10),
-        num(r.cost_q90)
+        num(*cost),
+        cost.to_bits(),
+        num(*cost_std),
+        num(*cost_q10),
+        num(*cost_q90)
     ));
     s.push_str(",\"risk_policy\":");
-    push_str_value(s, &r.risk_policy);
+    push_str_value(s, risk_policy);
     s.push_str(&format!(
-        ",\"stats\":{{\"generated\":{},\"kept\":{},\"merges\":{},\"peak_rows\":{}}}",
-        r.stats.generated, r.stats.kept, r.stats.merges, r.stats.peak_rows
+        ",\"stats\":{{\"generated\":{generated},\"kept\":{kept},\"merges\":{merges},\
+         \"peak_rows\":{peak_rows}}}"
     ));
 }
 
@@ -505,8 +561,7 @@ mod tests {
         assert_eq!(bits, (0.1f64 + 0.2).to_bits(), "bit-exact cost transport");
         let cost = doc.get("cost").and_then(JsonValue::as_f64).expect("cost");
         assert_eq!(cost.to_bits(), bits, "shortest-round-trip decimal agrees");
-        // The uncertainty fields ride the same line (lint rule 15: every
-        // public response field must be wire-rendered).
+        // The uncertainty fields ride the same line.
         assert_eq!(
             doc.get("cost_std").and_then(JsonValue::as_f64),
             Some(0.25),
@@ -561,46 +616,115 @@ mod tests {
         ));
     }
 
+    /// One fixed value of every [`Response`] variant and the exact line it
+    /// renders to. Pins the wire bytes: field order, number formatting,
+    /// `cost_bits`, nesting and escaping.
     #[test]
-    fn execute_response_renders_every_field_exactly() {
-        let resp = Response::Execute(ExecuteResponse {
-            workload: "pagerank(1e5,iters=10)".to_string(),
-            backend: "engine".to_string(),
-            assignments: vec!["java".to_string()],
-            seconds: 1.25,
-            compute_seconds: 1.0,
-            overhead_seconds: 0.25,
-            feasible: true,
-            measured: true,
-            output_rows: 64,
-            output_digest: u64::MAX - 1,
-            op_seconds: vec![0.5, 0.75],
-            op_output_rows: vec![100, 64],
-        });
-        let line = render_response(&resp);
-        let doc = crate::json::parse(&line).expect("valid JSON");
-        assert_eq!(doc.get("kind").and_then(JsonValue::as_str), Some("execute"));
-        // The digest is a full-width u64 and must survive exactly.
-        assert_eq!(
-            doc.get("output_digest").and_then(JsonValue::as_u64),
-            Some(u64::MAX - 1)
-        );
-        assert_eq!(doc.get("measured").and_then(JsonValue::as_bool), Some(true));
-        for key in [
-            "workload",
-            "backend",
-            "assignments",
-            "seconds",
-            "compute_seconds",
-            "overhead_seconds",
-            "feasible",
-            "measured",
-            "output_rows",
-            "output_digest",
-            "op_seconds",
-            "op_output_rows",
-        ] {
-            assert!(doc.get(key).is_some(), "missing wire field {key:?}");
+    fn every_response_variant_renders_exactly() {
+        let optimize = OptimizeResponse {
+            workload: "wordcount(1e7)".to_string(),
+            signature: 0x0123_4567_89ab_cdef,
+            assignments: vec!["java".to_string(), "spark".to_string()],
+            distinct_platforms: 2,
+            cost: 0.1 + 0.2,
+            cost_std: 0.25,
+            cost_q10: 0.2,
+            cost_q90: 0.4,
+            risk_policy: "sigma1.5".to_string(),
+            stats: robopt_core::EnumStats {
+                generated: 120,
+                kept: 40,
+                merges: 7,
+                peak_rows: 25,
+            },
+        };
+        let table = [
+            (
+                Response::Optimize(optimize.clone()),
+                r#"{"ok":true,"kind":"optimize","workload":"wordcount(1e7)","signature":81985529216486895,"assignments":["java","spark"],"distinct_platforms":2,"cost":0.30000000000000004,"cost_bits":4599075939470750516,"cost_std":0.25,"cost_q10":0.2,"cost_q90":0.4,"risk_policy":"sigma1.5","stats":{"generated":120,"kept":40,"merges":7,"peak_rows":25}}"#,
+            ),
+            (
+                Response::Train(TrainResponse {
+                    rows: 512,
+                    n_trees: 24,
+                    width: 81,
+                    train_mse: 0.0625,
+                }),
+                r#"{"ok":true,"kind":"train","rows":512,"n_trees":24,"width":81,"train_mse":0.0625}"#,
+            ),
+            (
+                Response::Simulate(SimulateResponse {
+                    workload: "tpch_q3(1e6)".to_string(),
+                    assignments: vec!["postgres".to_string(), "flink".to_string()],
+                    seconds: 12.5,
+                    feasible: true,
+                }),
+                r#"{"ok":true,"kind":"simulate","workload":"tpch_q3(1e6)","assignments":["postgres","flink"],"seconds":12.5,"feasible":true}"#,
+            ),
+            (
+                Response::Execute(ExecuteResponse {
+                    workload: "pagerank(1e5,iters=10)".to_string(),
+                    backend: "engine".to_string(),
+                    assignments: vec!["java".to_string()],
+                    seconds: 1.25,
+                    compute_seconds: 1.0,
+                    overhead_seconds: 0.25,
+                    feasible: true,
+                    measured: true,
+                    output_rows: 64,
+                    output_digest: u64::MAX - 1,
+                    op_seconds: vec![0.5, 0.75],
+                    op_output_rows: vec![100, 64],
+                }),
+                r#"{"ok":true,"kind":"execute","workload":"pagerank(1e5,iters=10)","backend":"engine","assignments":["java"],"seconds":1.25,"compute_seconds":1.0,"overhead_seconds":0.25,"feasible":true,"measured":true,"output_rows":64,"output_digest":18446744073709551614,"op_seconds":[0.5,0.75],"op_output_rows":[100,64]}"#,
+            ),
+            (
+                Response::Compare(CompareResponse {
+                    workload: "wordcount(1e7)".to_string(),
+                    mixed: optimize,
+                    mix: "java:1+spark:1".to_string(),
+                    mixed_sim_seconds: 3.5,
+                    singles: vec![
+                        crate::api::SinglePlatformPlan {
+                            platform: "java".to_string(),
+                            cost: Some(4.0),
+                            sim_seconds: Some(4.5),
+                        },
+                        crate::api::SinglePlatformPlan {
+                            platform: "postgres".to_string(),
+                            cost: None,
+                            sim_seconds: None,
+                        },
+                    ],
+                    best_single_cost: Some(4.0),
+                    mixed_wins: true,
+                }),
+                r#"{"ok":true,"kind":"compare","workload":"wordcount(1e7)","mixed":{"workload":"wordcount(1e7)","signature":81985529216486895,"assignments":["java","spark"],"distinct_platforms":2,"cost":0.30000000000000004,"cost_bits":4599075939470750516,"cost_std":0.25,"cost_q10":0.2,"cost_q90":0.4,"risk_policy":"sigma1.5","stats":{"generated":120,"kept":40,"merges":7,"peak_rows":25}},"mix":"java:1+spark:1","mixed_sim_seconds":3.5,"singles":[{"platform":"java","cost":4.0,"sim_seconds":4.5},{"platform":"postgres","cost":null,"sim_seconds":null}],"best_single_cost":4.0,"mixed_wins":true}"#,
+            ),
+            (
+                Response::Stats(StatsResponse {
+                    requests: 4,
+                    cache: crate::cache::CacheStats {
+                        hits: 3,
+                        misses: 1,
+                        evictions: 0,
+                        insertions: 1,
+                        len: 1,
+                        capacity: 64,
+                    },
+                    total_micros: 1500,
+                }),
+                r#"{"ok":true,"kind":"stats","requests":4,"cache":{"hits":3,"misses":1,"evictions":0,"insertions":1,"len":1,"capacity":64,"hit_rate":0.75},"total_micros":1500}"#,
+            ),
+            (
+                Response::Error(ServiceError::Parse("quote \" and \\ backslash".to_string())),
+                r#"{"ok":false,"error":"parse error: quote \" and \\ backslash"}"#,
+            ),
+        ];
+        for (resp, want) in &table {
+            let line = render_response(resp);
+            assert_eq!(&line, want);
+            crate::json::parse(&line).expect("renderer must emit valid JSON");
         }
     }
 

@@ -452,8 +452,8 @@ mod tests {
     fn source_is_object_safe_and_swappable() {
         let (registry, layout) = named_setup();
         let mut tdgen = TdgenGenerator::new(&registry, layout, quick_cfg());
-        let mut direct =
-            robopt_ml::SimulatorSource::new(&registry, layout, robopt_ml::SamplerConfig::new());
+        let sim = robopt_platforms::RuntimeSimulator::new(&registry, 1);
+        let mut direct = robopt_ml::BackendSource::new(&sim, &registry, layout, 1);
         let sources: [&mut dyn TrainingSource; 2] = [&mut tdgen, &mut direct];
         for source in sources {
             let set = source.generate(16);

@@ -38,9 +38,6 @@
 //!   generators, partition-parallel operators, iterative PageRank /
 //!   k-means kernels, byte-identical outputs across worker counts.
 
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
-
 pub use robopt as service;
 pub use robopt_baselines as baselines;
 pub use robopt_cli as cli;
@@ -63,8 +60,8 @@ pub mod prelude {
     };
     pub use robopt_engine::{execute_reference, Engine};
     pub use robopt_ml::{
-        r_squared, simulator_training_set, spearman, ForestConfig, LinearModel, Metrics, Model,
-        ModelOracle, RandomForest, SamplerConfig, SimulatorSource, TrainingSet, TrainingSource,
+        r_squared, simulator_training_set, spearman, BackendSource, ForestConfig, LinearModel,
+        Metrics, Model, ModelOracle, RandomForest, SamplerConfig, TrainingSet, TrainingSource,
     };
     pub use robopt_plan::{workloads, LogicalPlan, Operator, OperatorKind, SplitMix64};
     pub use robopt_platforms::{

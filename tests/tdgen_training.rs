@@ -222,7 +222,8 @@ fn dyn_sources_agree_on_the_layout_contract() {
         layout,
         TdgenConfig::new().with_knots(6).with_rows_per_curve(24),
     );
-    let mut direct = robopt_ml::SimulatorSource::new(&registry, layout, SamplerConfig::new());
+    let sim = RuntimeSimulator::new(&registry, 1);
+    let mut direct = robopt_ml::BackendSource::new(&sim, &registry, layout, 1);
     let sources: [&mut dyn TrainingSource; 2] = [&mut tdgen, &mut direct];
     for source in sources {
         assert_eq!(source.layout(), layout);
